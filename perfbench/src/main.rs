@@ -120,14 +120,6 @@ impl Limit {
             Limit::Steps(n) => steps < n,
         }
     }
-
-    /// This limit, but at most `n` steps.
-    pub fn at_most(self, n: u64, step_s: f64) -> Limit {
-        match self {
-            Limit::Seconds(s) => Limit::Steps(((s / step_s).round() as u64).clamp(1, n)),
-            Limit::Steps(k) => Limit::Steps(k.min(n)),
-        }
-    }
 }
 
 #[derive(Clone, Copy)]
@@ -137,20 +129,28 @@ pub struct Ctx<'t> {
     pub tracer: &'t Tracer,
 }
 
+/// One loop step: which of the workload's inputs it ran, its units of
+/// work and its seconds. Steps that run the same input do the same work.
+#[derive(Clone, Copy, Debug)]
+pub struct Step {
+    pub input: u64,
+    pub work: f64,
+    pub secs: f64,
+}
+
 /// What one pass of a workload measured and checked.
 #[derive(Default)]
 pub struct Run {
     pub setup_s: Vec<f64>,
     /// Loop steps taken (the traced pass repeats this many).
     pub steps: u64,
-    /// Units of work the loop did; `throughput` is `work / loop_s`. The
-    /// total rate, not a median of per-step rates: on a host whose speed
-    /// flips between two levels every few seconds, a median jumps between
-    /// them while the total rate averages them.
-    pub work: f64,
+    /// Every step taken, in order.
+    pub log: Vec<Step>,
     /// Seconds spent in loop steps (set-up samples between steps excluded).
     pub loop_s: f64,
     step_start: Option<Instant>,
+    /// Input and work of the step in progress, from [`Run::did`].
+    current: Option<(u64, f64)>,
     /// Set-up batch size found by [`setup()`].
     setup_batch: u32,
     /// Name of the workload's throughput, printed next to `throughput`.
@@ -175,7 +175,10 @@ impl Run {
         build: &mut impl FnMut() -> T,
     ) -> bool {
         if let Some(start) = self.step_start.take() {
-            self.loop_s += start.elapsed().as_secs_f64();
+            let secs = start.elapsed().as_secs_f64();
+            let (input, work) = self.current.take().expect("each step calls Run::did");
+            self.log.push(Step { input, work, secs });
+            self.loop_s += secs;
             self.steps += 1;
         }
         let more = ctx.limit.more(self.steps, self.loop_s, step_s);
@@ -197,6 +200,34 @@ impl Run {
         let took = start.elapsed().as_secs_f64();
         self.setup_s.push(took / f64::from(self.setup_batch));
         (value, took)
+    }
+
+    /// Records that the step in progress ran input `input` and did `work`
+    /// units of work.
+    pub fn did(&mut self, input: u64, work: f64) {
+        self.current = Some((input, work));
+    }
+
+    /// Units of work of all steps.
+    pub fn work(&self) -> f64 {
+        self.log.iter().map(|s| s.work).sum()
+    }
+
+    /// The workload's rate: the work of one step of each input over the
+    /// seconds of that input's fastest step, summed over inputs. A
+    /// workload runs each input several times, spread over the run: on a
+    /// shared host whose speed drops for seconds at a time, the fastest
+    /// repetition is the one such a drop missed, so the rate tracks the
+    /// code, not the neighbours.
+    pub fn throughput(&self) -> f64 {
+        let mut fastest: std::collections::BTreeMap<u64, (f64, f64)> = Default::default();
+        for step in &self.log {
+            let entry = fastest.entry(step.input).or_insert((step.work, step.secs));
+            entry.1 = entry.1.min(step.secs);
+        }
+        let work: f64 = fastest.values().map(|(work, _)| work).sum();
+        let secs: f64 = fastest.values().map(|(_, secs)| secs).sum();
+        work / secs
     }
 
     /// Counts one oracle comparison; a disagreement is reported on stderr.
@@ -359,14 +390,9 @@ fn provenance(args: &Args) -> String {
         );
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let sc_threads = std::env::var("SC_THREADS").unwrap_or_default();
-    let features = if cfg!(feature = "parallel") {
-        "parallel"
-    } else {
-        ""
-    };
     format!(
         "{{\"commit\":\"{commit}\",\"nproc\":{nproc},\"sc_exec_threads\":{},\
-         \"SC_THREADS\":\"{sc_threads}\",\"features\":\"{features}\",\
+         \"SC_THREADS\":\"{sc_threads}\",\"features\":\"parallel\",\
          \"rustc\":\"{}\",\"workload\":\"{}\",\"seed\":{},\"seconds\":{},\"trace\":{}}}",
         sc_exec::threads(),
         env!("PERFBENCH_RUSTC"),
@@ -474,10 +500,13 @@ fn main() {
     for line in &untraced.notes {
         println!("{line}");
     }
-    let throughput = untraced.work / untraced.loop_s;
+    let throughput = untraced.throughput();
     println!(
         "{} = {throughput:.3} 1/s ({} work units in {} steps, {:.3} s)",
-        untraced.unit, untraced.work, untraced.steps, untraced.loop_s
+        untraced.unit,
+        untraced.work(),
+        untraced.steps,
+        untraced.loop_s
     );
     let mut attempted = untraced.attempted;
     let mut failed = untraced.failed;

@@ -39,11 +39,12 @@ fn a12() -> Algorithm {
 /// Burst `k` wraps the four nodes of block `k` as mute, delayed,
 /// equivocating and scripted for `BURST_LEN` rounds, from a seed-jittered
 /// start: one more fault than A(12,3) tolerates.
-/// Bursts are spaced by the stabilisation bound plus the monitor's
-/// confirmation window, so every burst must be recovered from before the
-/// next one starts.
+/// Burst starts are `gap` rounds apart before jitter, so at least the
+/// stabilisation bound plus the monitor's confirmation window separates a
+/// burst's end from the next burst's start (and the last burst's end from
+/// the horizon): every burst must be recovered from before the next one.
 fn config(algo: &Algorithm, seed: u64) -> RuntimeConfig {
-    let gap = recovery_bound(algo) + JITTER;
+    let gap = recovery_bound(algo) + BURST_LEN + JITTER;
     let mut rng = SmallRng::seed_from_u64(splitmix(seed));
     let mut entries = Vec::new();
     for k in 0..BURSTS {
@@ -135,7 +136,6 @@ pub fn run(ctx: &Ctx<'_>) -> Run {
     let (algo, config) = crate::setup(ctx, &mut run, &mut build);
 
     let mut first: Option<RunReport> = None;
-    let mut mismatches = 0u64;
     let mut run_ms = Vec::new();
     while run.next_step(ctx, STEP_S, &mut build) {
         let t = Instant::now();
@@ -144,15 +144,16 @@ pub fn run(ctx: &Ctx<'_>) -> Run {
             .span("runtime", || run_deterministic(&algo, &config))
             .expect("the burst plan is valid for A(12,3)");
         run_ms.push(t.elapsed().as_secs_f64() * 1e3);
+        run.did(0, config.horizon as f64);
         match &first {
             None => first = Some(report),
-            Some(first) => mismatches += u64::from(first.digest != report.digest),
+            Some(first) => run.check(
+                first.digest == report.digest,
+                format!("digest of run {} equals the first run's", run.steps),
+            ),
         }
     }
-    run.work = (run.steps * config.horizon) as f64;
     run.unit = "runtime.rounds_per_s";
-    run.attempted += run.steps;
-    run.failed += mismatches;
 
     let mut report = first.expect("at least one run");
     if run.steps == 1 {
