@@ -28,16 +28,17 @@ const SPACE: MoveSpace = MoveSpace {
 /// Fixed search seeds: the workload seed picks the scenarios only.
 const SEARCH_SEED: u64 = 0xa36;
 /// Search calls per run; step `i` repeats call `i mod CALLS`, so each call
-/// is timed several times. Only a call's first run compiles round
-/// programs, so a run of any length stays below the 512 programs the
-/// sliced model caches before it drops them all (past that clear, peak
-/// memory depends on allocator timing and no longer repeats from run to
-/// run), and the repeats measure warm sliced evals.
-const CALLS: u64 = 2;
-/// Sweep evaluations per `search::search` call (one loop step).
-const BUDGET: u64 = 24;
+/// is timed many times. Only a call's first run compiles round programs,
+/// so a run of any length stays below the 512 programs the sliced model
+/// caches before it drops them all (past that clear, peak memory depends
+/// on allocator timing and no longer repeats from run to run), and the
+/// repeats measure warm sliced evals.
+const CALLS: u64 = 4;
+/// Sweep evaluations per `search::search` call (one loop step): a short
+/// step, so that a run repeats each call many times.
+const BUDGET: u64 = 8;
 /// Nominal seconds of one warm search call on the reference host.
-const STEP_S: f64 = 0.5;
+const STEP_S: f64 = 0.2;
 /// Distinct scripts the traced run scores cold, then warm.
 const PROBE_SCRIPTS: usize = 12;
 

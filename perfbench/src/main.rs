@@ -213,20 +213,23 @@ impl Run {
         self.log.iter().map(|s| s.work).sum()
     }
 
-    /// The workload's rate: the work of one step of each input over the
-    /// seconds of that input's fastest step, summed over inputs. A
-    /// workload runs each input several times, spread over the run: on a
-    /// shared host whose speed drops for seconds at a time, the fastest
-    /// repetition is the one such a drop missed, so the rate tracks the
-    /// code, not the neighbours.
+    /// The workload's rate: work over seconds of all steps but each
+    /// input's first, its warm-up (caches fill, round programs compile).
+    /// Every workload takes many short steps over a small seeded set of
+    /// inputs and runs on both cores; the host's speed drifts as other
+    /// tenants load the shared cores, and the total over the run is
+    /// steadier than any single step (the fastest step is a rare extreme).
     pub fn throughput(&self) -> f64 {
-        let mut fastest: std::collections::BTreeMap<u64, (f64, f64)> = Default::default();
-        for step in &self.log {
-            let entry = fastest.entry(step.input).or_insert((step.work, step.secs));
-            entry.1 = entry.1.min(step.secs);
-        }
-        let work: f64 = fastest.values().map(|(work, _)| work).sum();
-        let secs: f64 = fastest.values().map(|(_, secs)| secs).sum();
+        let mut seen = std::collections::BTreeSet::new();
+        let warm: Vec<&Step> = self.log.iter().filter(|s| !seen.insert(s.input)).collect();
+        // A run too short to repeat any input has only warm-ups.
+        let steps = if warm.is_empty() {
+            self.log.iter().collect()
+        } else {
+            warm
+        };
+        let work: f64 = steps.iter().map(|s| s.work).sum();
+        let secs: f64 = steps.iter().map(|s| s.secs).sum();
         work / secs
     }
 

@@ -13,15 +13,15 @@ use crate::{median, splitmix, Ctx, Run};
 
 const FAULTS: [usize; 7] = [0, 1, 2, 3, 4, 12, 24];
 /// Scenarios per regime batch: small enough that a run times each batch
-/// about eight times.
-const SCENARIOS: u64 = 32;
+/// about thirty times.
+const SCENARIOS: u64 = 8;
 /// Rounds per scenario. Theorem 1's bound for A(36,7) is 4992 rounds, too
 /// long to sweep every regime's batch several times in one run, so a
 /// scenario still unstable at the horizon is a verdict, not a failure; the
 /// full-horizon oracle below checks the verdicts.
 const HORIZON: u64 = 512;
 /// Nominal seconds of one step (one regime batch) on the reference host.
-const STEP_S: f64 = 0.5;
+const STEP_S: f64 = 0.125;
 /// Scenarios per regime re-run at full horizon as the early-exit oracle.
 const ORACLE_SCENARIOS: usize = 4;
 
@@ -70,7 +70,7 @@ pub fn run(ctx: &Ctx<'_>) -> Run {
     let batch = Batch::new(&algo, HORIZON);
 
     // Step `i` sweeps regime `i mod 5` over that regime's scenarios, so
-    // each regime's batch is timed several times; the nominal step count
+    // each regime's batch is timed many times; the nominal step count
     // of a run is a multiple of 5, so every run has the same mix.
     let mut regime_ms: Vec<Vec<f64>> = vec![Vec::new(); REGIMES.len()];
     let (mut fabricated, mut early_exits, mut saved, mut unstable) = (0u64, 0u64, 0u64, 0u64);

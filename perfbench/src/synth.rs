@@ -11,13 +11,14 @@ use sc_verifier::{sweep_family, Analyzer, CandidateFilter, SweepCheckpoint, Symm
 use crate::spans::Tracer;
 use crate::{median, percentile, splitmix, Ctx, Run};
 
-/// Candidates per `sweep_family` call (one loop step).
-const CHUNK: u64 = 8;
+/// Candidates per `sweep_family` call (one loop step): a short step, so
+/// that a run sweeps each window many times.
+const CHUNK: u64 = 2;
 /// Seeded windows per run; step `i` sweeps window `i mod WINDOWS`, so each
-/// window is timed several times.
-const WINDOWS: u64 = 4;
+/// window is timed many times.
+const WINDOWS: u64 = 8;
 /// Nominal seconds of one chunk on the reference host.
-const STEP_S: f64 = 0.28;
+const STEP_S: f64 = 0.0625;
 /// Pre-filter shape, as in the repository's n=5 campaign: scenarios,
 /// scripted rounds, evaluation budget per candidate.
 const FILTER: (usize, usize, u64) = (4, 3, 48);

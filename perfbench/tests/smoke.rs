@@ -1,5 +1,5 @@
 //! Smoke run of every workload, traced and untraced, at the smallest size
-//! (`--seconds 1`: one loop step). Checks that the result line has the
+//! (`--seconds 1`: a few loop steps). Checks that the result line has the
 //! contract's shape, that the outputs are correct, and that the metric
 //! names and units printed are exactly those `BENCHMARK.json` declares —
 //! and that `layers.json` maps every declared per-layer metric.
