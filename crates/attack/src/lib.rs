@@ -29,8 +29,7 @@
 //!   crossover between elite scripts — moves the cheap sliced evals make
 //!   affordable), plus the combined [`search::search`] and the
 //!   bound-tightness sweep [`search::period_profile`]; all deterministic
-//!   from a seed and fanned out with [`std::thread::scope`] behind the
-//!   `parallel` feature.
+//!   from a seed and fanned out on the persistent `sc-exec` pool.
 //! * **A synthesis pre-filter** — [`AttackPreFilter`] packages a budgeted
 //!   seeded search as a [`sc_verifier::CandidateFilter`]: candidates a
 //!   cheap scripted attack provably breaks never reach the exhaustive

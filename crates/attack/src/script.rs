@@ -144,8 +144,9 @@ impl Script {
     /// # Errors
     ///
     /// Returns [`ParamError`] when a faulty id is out of range or
-    /// duplicated, a round's table has the wrong width, or `cycle_start`
-    /// does not leave a non-empty cycle.
+    /// duplicated, a round's table has the wrong width, an empty fault set
+    /// comes with a non-empty table, or `cycle_start` does not leave a
+    /// non-empty cycle.
     pub fn new(
         n: usize,
         fault_set: Vec<usize>,
@@ -167,6 +168,13 @@ impl Script {
             return Err(ParamError::constraint(format!(
                 "every scripted round needs f·n = {width} moves"
             )));
+        }
+        if fault_set.is_empty() && !rounds.is_empty() {
+            // Conversely, an empty fault set has nothing to script: its
+            // rounds would be zero-width tables of no moves.
+            return Err(ParamError::constraint(
+                "a script without faulty nodes cannot have rounds",
+            ));
         }
         if rounds.is_empty() {
             // An empty table can only script an empty fault set (it never
@@ -220,9 +228,14 @@ impl Script {
     /// sender, receiver) slot, and the cycle wraps at the witness's
     /// `cycle_start` — replayed through a [`crate::ScriptedAdversary`] with
     /// an exact raw vocabulary, the live execution visits the witness's
-    /// configurations forever.
+    /// configurations forever. A fault-free witness imports as the empty
+    /// script: with no faulty sender there is no move to replay.
     pub fn from_witness(witness: &Witness) -> Script {
         let n = witness.honest.len() + witness.fault_set.len();
+        if witness.fault_set.is_empty() {
+            return Script::new(n, Vec::new(), Vec::new(), 0)
+                .expect("the empty script is well-formed");
+        }
         let width = witness.fault_set.len() * n;
         let rounds = witness
             .byz
@@ -304,8 +317,13 @@ impl Script {
     ///
     /// # Panics
     ///
-    /// Panics if `moves` does not hold exactly `f·n` entries.
+    /// Panics if the script has no faulty nodes or `moves` does not hold
+    /// exactly `f·n` entries.
     pub fn push_round(&mut self, moves: Vec<Move>) {
+        assert!(
+            !self.fault_set.is_empty(),
+            "a script without faulty nodes cannot have rounds"
+        );
         assert_eq!(
             moves.len(),
             self.fault_set.len() * self.n,
@@ -379,6 +397,15 @@ impl Script {
         let len = input.read_bits(32)? as usize;
         let cycle_start = input.read_bits(32)? as usize;
         let width = f * n;
+        // A zero-width round reads no bits, so nothing below would bound a
+        // corrupt `len`: reject it before the loop (`Script::new` rejects
+        // these tables anyway).
+        if width == 0 && len > 0 {
+            return Err(CodecError::InvalidField {
+                field: "script rounds without faulty senders",
+                value: len as u64,
+            });
+        }
         // Capacities are clamped: the length fields are untrusted input,
         // and a corrupt header must fail with a decode error on the first
         // missing move, not abort on a huge up-front allocation.
@@ -486,6 +513,30 @@ mod tests {
         assert!(Script::new(3, vec![1], vec![], 9).is_err());
         assert!(Script::new(3, vec![], vec![], 1).is_err());
         assert!(Script::new(3, vec![], vec![], 0).is_ok());
+        // Rounds without faulty nodes: zero-width tables of no moves.
+        assert!(Script::new(3, vec![], vec![vec![]], 0).is_err());
+    }
+
+    #[test]
+    fn fault_free_witness_imports_as_the_empty_script() {
+        // Two nodes that always move to state 0 never count: with f = 0
+        // the refutation's witness has no faulty sender to script.
+        let lut = sc_core::LutCounter::new(sc_core::LutSpec {
+            n: 2,
+            f: 0,
+            c: 2,
+            states: 2,
+            transition: vec![vec![0; 4]; 2],
+            output: vec![vec![0, 1]; 2],
+            stabilization_bound: 1,
+        })
+        .unwrap();
+        let Ok(sc_verifier::Verdict::Fails { witness, .. }) = sc_verifier::verify(&lut) else {
+            panic!("a constant table is not a counter");
+        };
+        assert!(witness.fault_set.is_empty() && !witness.byz.is_empty());
+        let script = Script::from_witness(&witness);
+        assert_eq!(script, Script::new(2, vec![], vec![], 0).unwrap());
     }
 
     #[test]
@@ -509,6 +560,29 @@ mod tests {
         bits.push_bits(u64::from(u32::MAX), 32);
         bits.push_bits(0, 32);
         assert!(Script::decode(&mut bits.reader()).is_err());
+        // The 11-byte header n = 3, f = 0, len = 2^26: zero-width rounds
+        // read no bits, so only the header check stops a 2^26-round (or,
+        // for len = 2^32 − 1, an unbounded) allocation.
+        for len in [1u64 << 26, u64::from(u32::MAX)] {
+            let mut bits = BitVec::new();
+            bits.push_bits(3, 16); // n
+            bits.push_bits(0, 8); // f
+            bits.push_bits(len, 32); // rounds
+            bits.push_bits(0, 32); // cycle_start
+            assert_eq!(bits.len(), 88);
+            assert_eq!(
+                Script::decode(&mut bits.reader()),
+                Err(CodecError::InvalidField {
+                    field: "script rounds without faulty senders",
+                    value: len,
+                })
+            );
+        }
+        // The empty script still round-trips.
+        let empty = Script::new(3, vec![], vec![], 0).unwrap();
+        let mut bits = BitVec::new();
+        empty.encode(&mut bits);
+        assert_eq!(Script::decode(&mut bits.reader()).unwrap(), empty);
     }
 
     #[test]

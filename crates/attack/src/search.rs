@@ -8,7 +8,7 @@
 //! Every strategy is **deterministic from [`SearchConfig::seed`]** — each
 //! restart/worker derives its generator from `(seed, task index)`, so
 //! results are bitwise independent of the thread count — and fans restarts
-//! out on the persistent `sc-exec` pool behind the `parallel` feature.
+//! out on the persistent `sc-exec` pool.
 //!
 //! Budgets are counted in sweep evaluations ([`Objective::evaluate`]
 //! calls); a strategy stops mid-pass when its slice is spent, so a
@@ -45,7 +45,7 @@ pub struct SearchConfig {
     pub beam_width: usize,
     /// Sampled extensions per beam member per round.
     pub expansions: usize,
-    /// Worker-thread cap for the `parallel` fan-out.
+    /// Executing-thread cap for the restart fan-out (1 runs serially).
     pub threads: usize,
 }
 
@@ -416,7 +416,6 @@ fn fold(outcomes: Vec<(Script, Delay, u64)>) -> SearchReport {
 /// tasks it claims; task results are pure functions of the task index and
 /// are folded in task order, so results are identical for any thread
 /// count.
-#[cfg(feature = "parallel")]
 fn fan_out<P, R, W>(
     obj: &Objective<'_, P, R>,
     cfg: &SearchConfig,
@@ -446,28 +445,6 @@ where
             |local| worker(local, cfg, task as u64, slice),
         )
     }))
-}
-
-/// Serial scheduling (the `parallel` feature is disabled).
-#[cfg(not(feature = "parallel"))]
-fn fan_out<P, R, W>(
-    obj: &Objective<'_, P, R>,
-    cfg: &SearchConfig,
-    tasks: u64,
-    slice: u64,
-    worker: W,
-) -> SearchReport
-where
-    P: Fingerprint,
-    R: RawState<P::State> + Clone,
-    W: Fn(&mut Objective<'_, P, R>, &SearchConfig, u64, u64) -> (Script, Delay, u64),
-{
-    let mut local = obj.clone();
-    fold(
-        (0..tasks.max(1))
-            .map(|task| worker(&mut local, cfg, task, slice))
-            .collect(),
-    )
 }
 
 /// Random restarts: [`SearchConfig::restarts`] independent workers sample

@@ -37,7 +37,7 @@
 //!   recovery percentiles, batched read-latency percentiles, and the
 //!   deterministic harness's digest-equality witness; measurements append
 //!   to `BENCH_runtime.json`,
-//! * the **observability table** (`--features trace` builds): the traced
+//! * the **observability table**: the traced
 //!   live hot path within **≤ 5%** of untraced wall clock, the metered
 //!   `CounterHandle` read path holding the **≥ 1M reads/s** gate, the
 //!   traced-vs-untraced digest-equality witness, and a flight-recorder
@@ -1671,7 +1671,7 @@ fn runtime_table() {
     }
 }
 
-/// The observability table (trace builds): the traced live-runtime hot
+/// The observability table: the traced live-runtime hot
 /// path against the untraced one — same config, same seed, wall-clock
 /// compared with a **≤ 5%** overhead gate (instrumentation is a handful
 /// of ring pushes per round; the wall clock is paced by the round
@@ -1683,7 +1683,6 @@ fn runtime_table() {
 /// harness, and a flight-recorder firing on an injected over-budget
 /// burst with its merged dump sizes. Measurements append to
 /// `BENCH_obs.json`.
-#[cfg(feature = "trace")]
 fn observability_table() {
     use sc_runtime::obs::{FlightConfig, TriggerReason};
     use sc_runtime::{
@@ -1903,16 +1902,6 @@ fn observability_table() {
     }
 }
 
-/// Without the `trace` feature the observability table has nothing to
-/// measure — the seam compiles to no-ops by design.
-#[cfg(not(feature = "trace"))]
-fn observability_table() {
-    println!(
-        "## observability — skipped (rebuild with `--features trace` \
-         for the traced-runtime table)\n"
-    );
-}
-
 criterion_group!(benches, bench_throughput);
 
 fn main() {
@@ -1922,8 +1911,7 @@ fn main() {
     // THROUGHPUT_PARALLEL_ONLY=1 runs just the parallel-scaling table — the
     // quick loop for tuning the executor gates without the other tables.
     // THROUGHPUT_RUNTIME_ONLY=1 likewise runs just the live-runtime table,
-    // and THROUGHPUT_OBS_ONLY=1 just the observability table (which needs
-    // a `--features trace` build to measure anything).
+    // and THROUGHPUT_OBS_ONLY=1 just the observability table.
     if std::env::var_os("THROUGHPUT_PARALLEL_ONLY").is_some() {
         parallel_table();
         return;

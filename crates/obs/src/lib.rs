@@ -4,10 +4,10 @@
 //! metric or emitting a trace event never blocks, never allocates on the
 //! hot path, and never feeds back into the instrumented computation —
 //! which is what lets the runtime promise bit-identical digests with
-//! tracing enabled or disabled. Consumer crates gate their wiring behind
-//! a `trace` cargo feature whose disabled default compiles to inlined
-//! no-ops (see each crate's `obs` shim module); this crate itself is
-//! always the real implementation.
+//! tracing enabled or disabled. Consumer crates wire it in through
+//! `Option`-backed handles whose detached default costs one `None` check
+//! per call site, so observation is a runtime switch, not a build
+//! configuration.
 //!
 //! The pieces:
 //!

@@ -1,13 +1,13 @@
 //! Property coverage for the `FaultPlan` codec: lossless round-trips on
 //! arbitrary injection schedules (including inline `Script` payloads and
 //! `Script`-import plans), deterministic re-encoding, and typed
-//! rejection of truncated byte streams.
+//! rejection of truncated byte streams and of zero-width script headers.
 
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sc_attack::{MoveSpace, Script};
-use sc_protocol::BitVec;
+use sc_protocol::{BitVec, CodecError};
 use sc_runtime::{FaultEntry, FaultKind, FaultPlan};
 
 /// A random well-formed plan: n in 4..=9, up to 3 wrapped nodes, all
@@ -142,4 +142,29 @@ proptest! {
             }
         }
     }
+}
+
+/// A scripted entry whose inline script header claims rounds but no
+/// faulty senders (n = 4, f = 0, len = 2^26) is a typed decode error:
+/// zero-width rounds read no bits, so the header alone must stop it.
+#[test]
+fn decode_rejects_a_scripted_entry_with_rounds_but_no_faulty_senders() {
+    let mut bits = BitVec::new();
+    bits.push_bits(4, 16); // plan n
+    bits.push_bits(1, 8); // one entry
+    bits.push_bits(2, 16); // node
+    bits.push_bits(0, 32); // from_round
+    bits.push_bit(false); // unbounded
+    bits.push_bits(4, 3); // FaultKind::Scripted
+    bits.push_bits(4, 16); // script n
+    bits.push_bits(0, 8); // script f
+    bits.push_bits(1 << 26, 32); // script rounds
+    bits.push_bits(0, 32); // script cycle_start
+    assert_eq!(
+        FaultPlan::decode(&mut bits.reader()),
+        Err(CodecError::InvalidField {
+            field: "script rounds without faulty senders",
+            value: 1 << 26,
+        })
+    );
 }

@@ -1,9 +1,7 @@
-//! Observability integration suite (`trace` feature): instrumentation
-//! must be observe-only (traced and untraced digests bit-identical), the
-//! flight recorder must fire on real watchdog anomalies with a merged
-//! globally-ordered dump, and the metered read path must count exactly.
-
-#![cfg(feature = "trace")]
+//! Observability integration suite: instrumentation must be observe-only
+//! (traced and untraced digests bit-identical), the flight recorder must
+//! fire on real watchdog anomalies with a merged globally-ordered dump,
+//! and the metered read path must count exactly.
 
 use sc_core::{Algorithm, CounterBuilder};
 use sc_protocol::Counter;

@@ -8,12 +8,15 @@
 //! Differences from upstream: cases are generated from a fixed deterministic
 //! seed (plus the case index), and failing cases are reported by panic
 //! without shrinking. That trades minimal counterexamples for a zero-dep
-//! build; the fixed seed keeps CI runs reproducible.
+//! build; the fixed seed keeps CI runs reproducible, and a failure names
+//! its test and case index, so `TestRng::deterministic(case)` regenerates
+//! the failing inputs.
 
 #![forbid(unsafe_code)]
 
 use rand::rngs::SmallRng;
 use rand::{Rng as _, RngCore, SeedableRng};
+use std::cell::Cell;
 use std::ops::{Range, RangeInclusive};
 
 /// The deterministic generator driving value generation for one test.
@@ -41,6 +44,46 @@ impl RngCore for TestRng {
     fn next_u64(&mut self) -> u64 {
         self.0.next_u64()
     }
+}
+
+thread_local! {
+    static LAST_FAILURE: Cell<Option<(&'static str, u64)>> = const { Cell::new(None) };
+}
+
+/// Reports the running case of a [`proptest!`] test if it fails: dropped
+/// while its thread panics, the guard prints the test name and case index
+/// (and records them for [`last_failure`]). Created by the macro for
+/// every case.
+#[doc(hidden)]
+pub struct CaseGuard {
+    name: &'static str,
+    case: u64,
+}
+
+impl CaseGuard {
+    /// A guard for case `case` of test `name`.
+    pub fn new(name: &'static str, case: u64) -> Self {
+        CaseGuard { name, case }
+    }
+}
+
+impl Drop for CaseGuard {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!(
+                "proptest: `{}` failed at case {}; TestRng::deterministic({}) regenerates its inputs",
+                self.name, self.case, self.case
+            );
+            LAST_FAILURE.with(|f| f.set(Some((self.name, self.case))));
+        }
+    }
+}
+
+/// `(test name, case index)` of the last [`proptest!`] case that failed on
+/// this thread.
+#[doc(hidden)]
+pub fn last_failure() -> Option<(&'static str, u64)> {
+    LAST_FAILURE.with(Cell::get)
 }
 
 /// Generation configuration; only `cases` is honoured by this shim.
@@ -353,6 +396,7 @@ macro_rules! __proptest_impl {
             fn $name() {
                 let config: $crate::ProptestConfig = $config;
                 for case in 0..u64::from(config.cases) {
+                    let _guard = $crate::CaseGuard::new(stringify!($name), case);
                     let mut rng = $crate::TestRng::deterministic(case);
                     $(let $arg = $crate::Strategy::generate(&($strategy), &mut rng);)+
                     $body
@@ -400,6 +444,33 @@ mod tests {
             assert!((2..5).contains(&v.len()));
             assert!(v.iter().all(|&x| x < 3));
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Fails on every multiple of five; driven by the test below, not
+        /// run on its own.
+        fn fails_on_multiples_of_five(x in any::<u64>()) {
+            prop_assert!(!x.is_multiple_of(5), "{x} is a multiple of five");
+        }
+    }
+
+    #[test]
+    fn a_failing_case_reports_its_index() {
+        let caught = std::panic::catch_unwind(fails_on_multiples_of_five);
+        assert!(caught.is_err(), "some case must fail");
+        let expected = (0..64)
+            .find(|&case| {
+                any::<u64>()
+                    .generate(&mut crate::TestRng::deterministic(case))
+                    .is_multiple_of(5)
+            })
+            .expect("a multiple of five within 64 cases");
+        assert_eq!(
+            crate::last_failure(),
+            Some(("fails_on_multiples_of_five", expected))
+        );
     }
 
     proptest! {

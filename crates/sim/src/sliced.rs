@@ -323,7 +323,6 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
     /// Fans group execution out over the persistent [`sc_exec`] pool
     /// (workers claim groups dynamically, so long and short tails
     /// load-balance) and restores input order.
-    #[cfg(feature = "parallel")]
     fn schedule_groups(
         &self,
         group_count: usize,
@@ -333,16 +332,6 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
             .into_iter()
             .flatten()
             .collect()
-    }
-
-    /// Single-threaded build: groups run in order.
-    #[cfg(not(feature = "parallel"))]
-    fn schedule_groups(
-        &self,
-        group_count: usize,
-        run_group: &impl Fn(usize) -> Vec<ScenarioOutcome>,
-    ) -> Vec<ScenarioOutcome> {
-        (0..group_count).flat_map(run_group).collect()
     }
 
     /// Packs, advances and adjudicates one lane group, on the calling

@@ -30,9 +30,9 @@
 //!   (crash / mute / delay / equivocate / scripted witnesses), a
 //!   watchdog monitor, a versioned-snapshot read path, and a
 //!   deterministic harness replaying every scenario bit-identically.
-//!   With the `trace` cargo feature, `runtime::obs` exposes the `sc-obs`
-//!   observability layer — metrics, lock-free event rings, and the
-//!   flight recorder — wired through the runtime and the sweep engines.
+//!   `runtime::obs` exposes the `sc-obs` observability layer — metrics,
+//!   lock-free event rings, and the flight recorder — wired through the
+//!   runtime and the sweep engines.
 //!
 //! # Quickstart
 //!
