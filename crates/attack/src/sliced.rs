@@ -1,6 +1,9 @@
 //! Scripted attacks on the bit-sliced plane: [`SlicedScript`] translates a
 //! [`Script`] into the face tables of [`sc_sim::SlicedStrategy`], so one
-//! objective sweep advances 64 scenarios per word instead of one.
+//! objective sweep advances 64 scenarios per word instead of one. It is the
+//! only sliced strategy: any oblivious adversary reaches the sliced engine
+//! by being written as a [`Script`], and crash, replay and equivocation are
+//! checked against their scalar natives in that form.
 //!
 //! The translation is semantics-preserving move by move:
 //!
@@ -16,13 +19,13 @@
 //!   the engine clamps the lag to the observed history and rewrites lag 0
 //!   to an echo, exactly the scalar warm-up rule.
 //!
-//! Scripts cannot express per-lane variation, so the whole table is
-//! lane-uniform — the cheapest kind of sliced strategy: no gather tables,
-//! and every raw bundle folds into compile-time constants.
+//! A script plays the same moves in every lane, so every raw bundle folds
+//! into compile-time constants and lanes differ only in their initial
+//! configurations.
 
 use sc_protocol::{FaceRef, NodeId, RoundFaces};
 use sc_sim::adversaries::normalize_faults;
-use sc_sim::{PackedInit, SlicedStrategy};
+use sc_sim::SlicedStrategy;
 
 use crate::script::{Move, Script};
 
@@ -79,7 +82,7 @@ impl<'s, S> SlicedScript<'s, S> {
     }
 }
 
-impl<'s, S: Clone> SlicedStrategy<S> for SlicedScript<'s, S> {
+impl<'s, S> SlicedStrategy<S> for SlicedScript<'s, S> {
     fn faulty(&self) -> &[NodeId] {
         &self.faulty
     }
@@ -88,16 +91,11 @@ impl<'s, S: Clone> SlicedStrategy<S> for SlicedScript<'s, S> {
         self.script.max_lag()
     }
 
-    fn packed_bundles(&self) -> Vec<PackedInit<S>> {
+    fn packed_bundles(&self) -> Vec<(NodeId, &S)> {
         self.faulty
             .iter()
             .zip(self.raw_states)
-            .flat_map(|(&node, row)| {
-                row.iter().map(move |state| PackedInit::Uniform {
-                    node,
-                    state: state.clone(),
-                })
-            })
+            .flat_map(|(&node, row)| row.iter().map(move |state| (node, state)))
             .collect()
     }
 
@@ -168,9 +166,7 @@ mod tests {
         let strategy = SlicedScript::new(&script, &rows);
         let bundles = strategy.packed_bundles();
         assert_eq!(bundles.len(), 2 * RAW_STRIDE);
-        let PackedInit::Uniform { node, state } = &bundles[RAW_STRIDE + 3] else {
-            panic!("raw bundles are uniform");
-        };
+        let (node, state) = bundles[RAW_STRIDE + 3];
         assert_eq!(node.index(), 2);
         assert_eq!(*state, 1003);
         let mut faces = RoundFaces::new(2, 4);

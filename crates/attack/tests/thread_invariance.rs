@@ -1,7 +1,7 @@
 //! Thread-count invariance of the pool-backed fan-outs this crate touches:
 //!
-//! * `SlicedBatch` verdicts on a real lowered protocol (A(4,1)) are
-//!   bitwise identical at thread caps 1, 2 and 7;
+//! * `SlicedBatch` verdicts of a scripted attack on a real lowered
+//!   protocol (A(4,1)) are bitwise identical at thread caps 1, 2 and 7;
 //! * `search` (random + hill-climb) returns the same best script, delay
 //!   and evaluation count at those caps;
 //! * a `sweep_family` campaign with the attack pre-filter produces an
@@ -11,10 +11,13 @@
 //!   resumed through the checkpoint codec mid-campaign.
 
 use proptest::{prop_assert_eq, proptest, ProptestConfig};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use sc_attack::search::random_search;
-use sc_attack::{AttackPreFilter, MoveSpace, SearchConfig};
+use sc_attack::{AttackPreFilter, MoveSpace, RawState, Script, SearchConfig, SlicedScript};
 use sc_core::{Algorithm, CounterBuilder};
-use sc_sim::{sliced_crash, Scenario, SlicedBatch};
+use sc_protocol::NodeId;
+use sc_sim::{Scenario, SlicedBatch};
 use sc_verifier::{sweep_family_on, Analyzer, SweepCheckpoint, SymmetricFamily};
 
 fn a4() -> Algorithm {
@@ -32,8 +35,13 @@ proptest! {
         let algo = a4();
         let list =
             Scenario::seeds((base_seed as u64)..(base_seed as u64 + scenarios as u64));
-        let seeds: Vec<u64> = list.iter().map(|s| s.seed).collect();
-        let strategy = sliced_crash(&algo, [1], &seeds);
+        let space = MoveSpace { raw_values: 5, salts: 3, max_lag: 2 };
+        let mut rng = SmallRng::seed_from_u64(u64::from(base_seed));
+        let script = Script::random(4, vec![1], 3, 1, &space, &mut rng);
+        let raw = vec![(0..=u8::MAX)
+            .map(|v| algo.raw_state(NodeId::new(1), v))
+            .collect()];
+        let strategy = SlicedScript::new(&script, &raw);
         let one = SlicedBatch::new(&algo, 64)
             .threads(1)
             .run(&list, &strategy)

@@ -668,12 +668,7 @@ mod tests {
 
     fn run_on_lanes(prog: &Program, cur: &PlaneBuf, out_planes: usize) -> PlaneBuf {
         let mut next = PlaneBuf::new(out_planes, cur.lane_words());
-        let spaces = ExecSpaces {
-            cur,
-            ring: &[],
-            packed: &[],
-            gather: &[],
-        };
+        let spaces = ExecSpaces { cur, ring: &[] };
         prog.exec(&spaces, &mut next, &mut Vec::new());
         next
     }

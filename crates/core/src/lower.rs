@@ -612,7 +612,8 @@ pub struct SlicedAlgorithm {
     layout: SlicedLayout,
     faulty: Vec<NodeId>,
     ext: Option<ExtSpec>,
-    packed: HashMap<u16, Option<Arc<BitVec>>>,
+    /// Registered packed bundles, by [`FaceRef::Packed`] id.
+    packed: HashMap<u16, Arc<BitVec>>,
     cache: HashMap<RoundFaces, Arc<Program>>,
 }
 
@@ -656,15 +657,8 @@ impl SlicedAlgorithm {
                     base: self.layout.node_base(donor),
                 },
                 FaceRef::Packed(id) => match self.packed.get(&id) {
-                    Some(Some(bits)) => BundleRef::Uniform(bits.clone()),
-                    _ => BundleRef::Planes {
-                        space: Space::Packed(id),
-                        base: 0,
-                    },
-                },
-                FaceRef::Gather(t) => BundleRef::Planes {
-                    space: Space::Gather(t),
-                    base: 0,
+                    Some(bits) => BundleRef::Uniform(bits.clone()),
+                    None => panic!("face names packed bundle {id}, which was never registered"),
                 },
             },
         }
@@ -691,21 +685,15 @@ impl RoundProgramSource for SlicedAlgorithm {
         self.packed.contains_key(&id)
     }
 
-    fn register_packed(&mut self, id: u16, uniform: Option<&BitVec>) {
-        let entry = uniform.map(|b| Arc::new(b.clone()));
+    fn register_packed(&mut self, id: u16, bundle: &BitVec) {
         if let Some(prev) = self.packed.get(&id) {
-            let same = match (prev, &entry) {
-                (None, None) => true,
-                (Some(a), Some(b)) => a.as_ref() == b.as_ref(),
-                _ => false,
-            };
             assert!(
-                same,
+                prev.as_ref() == bundle,
                 "packed bundle {id} re-registered with different content"
             );
             return;
         }
-        self.packed.insert(id, entry);
+        self.packed.insert(id, Arc::new(bundle.clone()));
     }
 
     fn round_program(&mut self, faces: &RoundFaces) -> Arc<Program> {
@@ -773,10 +761,6 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use sc_protocol::{ExecSpaces, MessageView, PlaneBuf, StepContext};
-    use sc_sim::{
-        adversaries, sliced_crash, sliced_replay, sliced_two_faced_periodic, two_faced_periodic,
-        Batch, BatchReport, Scenario, SimError, SlicedBatch,
-    };
 
     fn a4() -> Algorithm {
         CounterBuilder::corollary1(1, 8).unwrap().build().unwrap()
@@ -834,8 +818,6 @@ mod tests {
             let spaces = ExecSpaces {
                 cur: &cur,
                 ring: &[],
-                packed: &[],
-                gather: &[],
             };
             program.exec(&spaces, &mut next, &mut scratch);
             for (lane, config) in states.iter_mut().enumerate() {
@@ -916,117 +898,25 @@ mod tests {
         assert!(a4().sliced_model(&[NodeId::new(1)]).is_some());
     }
 
-    fn verdicts(report: &BatchReport) -> Vec<(u64, String)> {
-        report
-            .outcomes
-            .iter()
-            .map(|o| (o.seed, format!("{:?}", o.result)))
-            .collect()
-    }
-
-    fn assert_sliced_matches_scalar<A, F, St>(
-        algo: &Algorithm,
-        horizon: u64,
-        scenarios: &[Scenario<CounterState>],
-        scalar: F,
-        strategy: &St,
-        label: &str,
-    ) where
-        A: sc_sim::Adversary<CounterState>,
-        F: Fn(&Scenario<CounterState>) -> A + Sync,
-        St: sc_sim::SlicedStrategy<CounterState> + Sync,
-    {
-        let scalar_report = Batch::new(algo, horizon).run(scenarios, scalar);
-        let sliced_report = SlicedBatch::new(algo, horizon)
-            .lane_words(1)
-            .run(scenarios, strategy)
-            .expect("stack should lower");
-        assert_eq!(
-            verdicts(&scalar_report),
-            verdicts(&sliced_report),
-            "{label}"
-        );
+    #[test]
+    #[should_panic(expected = "never registered")]
+    fn unregistered_packed_faces_panic() {
+        let mut model = a4().sliced_model(&[NodeId::new(2)]).unwrap();
+        let mut faces = RoundFaces::new(1, 4);
+        faces.set_face(0, 4, 0, FaceRef::Packed(3));
+        model.round_program(&faces);
     }
 
     #[test]
-    fn a4_crash_matches_scalar_batch() {
-        let algo = a4();
-        let scenarios = Scenario::seeds(0..48);
-        let seeds: Vec<u64> = scenarios.iter().map(|s| s.seed).collect();
-        let strategy = sliced_crash(&algo, [1], &seeds);
-        assert_sliced_matches_scalar(
-            &algo,
-            2400,
-            &scenarios,
-            |s| adversaries::crash(&algo, [1], s.seed),
-            &strategy,
-            "crash",
-        );
-    }
-
-    #[test]
-    fn a4_replay_matches_scalar_batch() {
-        let algo = a4();
-        let scenarios = Scenario::seeds(0..32);
-        for delay in [1usize, 3] {
-            let strategy = sliced_replay(algo.n(), [3], delay);
-            assert_sliced_matches_scalar(
-                &algo,
-                1200,
-                &scenarios,
-                |_| adversaries::replay::<CounterState>([3], delay),
-                &strategy,
-                &format!("replay delay {delay}"),
-            );
-        }
-    }
-
-    #[test]
-    fn a4_two_faced_matches_scalar_batch() {
-        let algo = a4();
-        let scenarios = Scenario::seeds(0..32);
-        let seeds: Vec<u64> = scenarios.iter().map(|s| s.seed).collect();
-        let strategy = sliced_two_faced_periodic(algo.n(), [0], &seeds, 2);
-        assert_sliced_matches_scalar(
-            &algo,
-            1200,
-            &scenarios,
-            |s| two_faced_periodic([0], s.seed, 2),
-            &strategy,
-            "two-faced",
-        );
-    }
-
-    #[test]
-    fn a12_crash_matches_scalar_batch() {
-        let algo = a12();
-        let scenarios = Scenario::seeds(0..16);
-        let seeds: Vec<u64> = scenarios.iter().map(|s| s.seed).collect();
-        let strategy = sliced_crash(&algo, [2, 7], &seeds);
-        assert_sliced_matches_scalar(
-            &algo,
-            400,
-            &scenarios,
-            |s| adversaries::crash(&algo, [2, 7], s.seed),
-            &strategy,
-            "a12 crash",
-        );
-    }
-
-    #[test]
-    fn horizon_too_short_matches_scalar_contract() {
-        let algo = a4();
-        let scenarios = Scenario::seeds(0..3);
-        let seeds: Vec<u64> = scenarios.iter().map(|s| s.seed).collect();
-        let strategy = sliced_crash(&algo, [1], &seeds);
-        let report = SlicedBatch::new(&algo, 4)
-            .run(&scenarios, &strategy)
-            .unwrap();
-        for outcome in &report.outcomes {
-            assert!(matches!(
-                outcome.result,
-                Err(SimError::HorizonTooShort { .. })
-            ));
-        }
+    #[should_panic(expected = "re-registered with different content")]
+    fn conflicting_packed_registrations_panic() {
+        let mut model = a4().sliced_model(&[NodeId::new(2)]).unwrap();
+        let bundle = |v: u64| {
+            let mut bits = BitVec::new();
+            bits.push_bits(v, 8);
+            bits
+        };
+        model.register_packed(0, &bundle(1));
+        model.register_packed(0, &bundle(2));
     }
 }

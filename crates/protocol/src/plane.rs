@@ -14,12 +14,11 @@
 //!   pack/unpack converters from the codec bit strings.
 //! * [`Op`] / [`Program`] — a flat bytecode of word operations over plane
 //!   ranges, executed by [`Program::exec`] against an [`ExecSpaces`] bundle
-//!   of input arenas (current state, replay ring, packed constants, gather
-//!   tables).
+//!   of input arenas (the current state and the replay ring).
 //! * [`FaceRef`] / [`RoundFaces`] — how one round's adversarial faces are
 //!   named when compiling a round program: each (faulty sender, receiver)
-//!   pair resolves to an honest broadcast, a ring lag, a packed bundle, or a
-//!   gather table.
+//!   pair resolves to an honest broadcast, a ring lag, or a lane-uniform
+//!   packed bundle the compiler folds into constants.
 //! * [`SlicedLayout`] — the per-node bundle layout (state, derived "ext"
 //!   planes, output field) shared between the lowering and the engine.
 
@@ -184,18 +183,15 @@ impl PlaneBuf {
     }
 }
 
-/// Which input arena a [`Op::Load`] reads from.
+/// Which input arena a [`Op::Load`] reads from. Both hold every node's
+/// bundle at the [`SlicedLayout`] offsets; lane-uniform inputs never need
+/// an arena, they compile to [`Op::Const`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Space {
     /// The current-round state arena.
     Cur,
     /// The replay ring: `Ring(lag)` is the state arena `lag ≥ 1` rounds ago.
     Ring(u8),
-    /// A packed constant bundle (crash freezes, scripted raw palettes).
-    Packed(u16),
-    /// A per-round gather table materialised by the engine (lane-varying
-    /// donor selection, e.g. two-faced schedules).
-    Gather(u8),
 }
 
 /// One word operation over plane ranges of the scratch arena.
@@ -361,17 +357,15 @@ pub enum Op {
     },
 }
 
-/// The read-only input arenas one round program executes against.
+/// The read-only input arenas one round program executes against, one per
+/// [`Space`].
 pub struct ExecSpaces<'a> {
-    /// Current-round state (all node bundles).
+    /// Current-round state (all node bundles): [`Space::Cur`].
     pub cur: &'a PlaneBuf,
-    /// Replay ring: `ring[lag - 1]` is the state `lag` rounds ago. May be
-    /// shorter than the deepest lag only if no op references deeper lags.
+    /// Replay ring: `ring[lag - 1]` is the state `lag` rounds ago, read by
+    /// [`Space::Ring`]. May be shorter than the deepest lag only if no op
+    /// references deeper lags.
     pub ring: &'a [PlaneBuf],
-    /// Packed constant bundles, indexed by [`Space::Packed`] id.
-    pub packed: &'a [PlaneBuf],
-    /// Per-round gather tables, indexed by [`Space::Gather`] id.
-    pub gather: &'a [PlaneBuf],
 }
 
 /// A compiled round program: a flat op list over a scratch arena.
@@ -413,8 +407,6 @@ impl Program {
                     let src = match space {
                         Space::Cur => spaces.cur,
                         Space::Ring(lag) => &spaces.ring[lag as usize - 1],
-                        Space::Packed(id) => &spaces.packed[id as usize],
-                        Space::Gather(id) => &spaces.gather[id as usize],
                     };
                     for i in 0..w as u32 {
                         for k in 0..lw {
@@ -583,8 +575,6 @@ impl Program {
                     let src = match space {
                         Space::Cur => spaces.cur,
                         Space::Ring(lag) => &spaces.ring[lag as usize - 1],
-                        Space::Packed(id) => &spaces.packed[id as usize],
-                        Space::Gather(id) => &spaces.gather[id as usize],
                     };
                     for i in 0..w as u32 {
                         scratch[(dst + i) as usize] = src.word((off + i) as usize, 0);
@@ -773,7 +763,7 @@ fn operand_bit(
 /// Where one (faulty sender, receiver) face of a round comes from.
 ///
 /// A *face* is the state a faulty node shows one particular receiver this
-/// round. Compiling a round program resolves every face to one of four
+/// round. Compiling a round program resolves every face to one of three
 /// sources; two [`RoundFaces`] that resolve identically compile to the same
 /// program, which is what makes the per-pattern program cache effective.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -788,10 +778,9 @@ pub enum FaceRef {
         /// Honest donor's global node index.
         donor: u32,
     },
-    /// A packed bundle (lane-uniform or per-lane constant states).
+    /// A registered packed bundle: one lane-uniform state, compiled to
+    /// constants.
     Packed(u16),
-    /// A per-round gather table materialised by the engine.
-    Gather(u8),
 }
 
 /// The resolved faces of one round: `rows[g * n + v]` is what the `g`-th
@@ -962,8 +951,6 @@ mod tests {
         let spaces = ExecSpaces {
             cur: &cur,
             ring: &[],
-            packed: &[],
-            gather: &[],
         };
         let mut scratch = Vec::new();
         prog.exec(&spaces, &mut next, &mut scratch);
@@ -1128,8 +1115,6 @@ mod tests {
         let spaces = ExecSpaces {
             cur: &cur,
             ring: &[],
-            packed: &[],
-            gather: &[],
         };
         prog.exec(&spaces, &mut next, &mut Vec::new());
         for lane in [0, 17, 63] {
@@ -1144,13 +1129,9 @@ mod tests {
     fn load_resolves_all_spaces() {
         let mut cur = PlaneBuf::new(2, 1);
         let mut ring0 = PlaneBuf::new(2, 1);
-        let mut packed = PlaneBuf::new(2, 1);
-        let mut gather = PlaneBuf::new(2, 1);
         for lane in 0..64 {
             cur.set_lane_bit(0, lane, lane % 2 == 0);
             ring0.set_lane_bit(0, lane, lane % 3 == 0);
-            packed.set_lane_bit(0, lane, lane % 5 == 0);
-            gather.set_lane_bit(0, lane, lane % 7 == 0);
         }
         let prog = Program {
             ops: vec![
@@ -1166,39 +1147,23 @@ mod tests {
                     off: 0,
                     w: 1,
                 },
-                Op::Load {
-                    dst: 2,
-                    space: Space::Packed(0),
-                    off: 0,
-                    w: 1,
-                },
-                Op::Load {
-                    dst: 3,
-                    space: Space::Gather(0),
-                    off: 0,
-                    w: 1,
-                },
                 Op::Store {
                     src: 0,
                     off: 0,
-                    w: 4,
+                    w: 2,
                 },
             ],
-            arena_planes: 4,
+            arena_planes: 2,
         };
-        let mut next = PlaneBuf::new(4, 1);
+        let mut next = PlaneBuf::new(2, 1);
         let spaces = ExecSpaces {
             cur: &cur,
             ring: std::slice::from_ref(&ring0),
-            packed: std::slice::from_ref(&packed),
-            gather: std::slice::from_ref(&gather),
         };
         prog.exec(&spaces, &mut next, &mut Vec::new());
         for lane in 0..64 {
             assert_eq!(next.lane_bit(0, lane), lane % 2 == 0);
             assert_eq!(next.lane_bit(1, lane), lane % 3 == 0);
-            assert_eq!(next.lane_bit(2, lane), lane % 5 == 0);
-            assert_eq!(next.lane_bit(3, lane), lane % 7 == 0);
         }
     }
 

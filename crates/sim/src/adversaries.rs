@@ -245,21 +245,6 @@ pub fn random_from<'a, S>(
     }
 }
 
-/// Like [`two_faced`], but drawing fallback states from an arbitrary sampler
-/// instead of a [`SyncProtocol`].
-pub fn two_faced_from<'a, S>(
-    sampler: impl Fn(NodeId, &mut SmallRng) -> S + 'a,
-    faulty: impl IntoIterator<Item = usize>,
-    seed: u64,
-) -> TwoFaced<'a, S> {
-    TwoFaced {
-        faulty: normalize_faults(faulty),
-        rng: SmallRng::seed_from_u64(seed),
-        sample: Box::new(sampler),
-        faces: None,
-    }
-}
-
 /// Adversary produced by [`random`].
 pub struct FreshRandom<'a, S> {
     faulty: Vec<NodeId>,

@@ -85,10 +85,7 @@ pub use metrics::{broadcast_metrics, BroadcastMetrics};
 pub use obs::SimObs;
 pub use seeded::{random_periodic, two_faced_periodic, RandomPeriodic, TwoFacedPeriodic};
 pub use simulation::{required_confirmation, Simulation};
-pub use sliced::{
-    sliced_crash, sliced_replay, sliced_two_faced_periodic, PackedInit, RoundProgramSource,
-    SlicedBatch, SlicedCrash, SlicedProtocol, SlicedReplay, SlicedStrategy, SlicedTwoFacedPeriodic,
-};
+pub use sliced::{RoundProgramSource, SlicedBatch, SlicedProtocol, SlicedStrategy};
 pub use stabilization::{
     detect_stabilization, first_stable_window, violation_rate, OnlineDetector, OutputTrace,
     StabilizationReport,

@@ -5,19 +5,19 @@
 //! [`PlaneBuf`] planes (one `u64` word per state bit, 64 scenarios per
 //! "lane"), the protocol transition is compiled **once** into a
 //! [`Program`] of word ops (see `sc-core`'s DAG builder), and
-//! [`SlicedBatch`] advances whole lane groups per round — per-lane fault
-//! content and adversary moves become word-wise selects, packed constants,
-//! ring loads and gather tables.
+//! [`SlicedBatch`] advances whole lane groups per round. Lanes differ only
+//! in their initial configurations; the adversary's moves are lane-uniform
+//! and become honest-plane loads, ring loads and compiled constants.
 //!
-//! The scalar engine stays the oracle: for supported adversaries every
-//! sliced sweep is asserted verdict-identical (seed and stabilisation
-//! [`ScenarioOutcome::result`]) against [`crate::Batch`] in the test suites
-//! and the throughput gate. Two ledger fields are engine-specific and
-//! deliberately excluded from that comparison:
-//! [`ScenarioOutcome::fabricated_states`] (the sliced engine has no message
-//! pool; it reports 0) and [`ScenarioOutcome::exit_reason`] (always
-//! [`ExitReason::FullHorizon`]; the sliced engine amortises rounds across
-//! lanes instead of exiting early).
+//! The scalar engine stays the oracle: every sliced sweep is asserted
+//! verdict-identical (seed and stabilisation [`ScenarioOutcome::result`])
+//! against [`crate::Batch`] in the test suites and the throughput gate.
+//! Two ledger fields are engine-specific and deliberately excluded from
+//! that comparison: [`ScenarioOutcome::fabricated_states`] (the sliced
+//! engine has no message pool; it reports 0) and
+//! [`ScenarioOutcome::exit_reason`] (always [`ExitReason::FullHorizon`];
+//! the sliced engine amortises rounds across lanes instead of exiting
+//! early).
 //!
 //! The pieces:
 //!
@@ -25,14 +25,13 @@
 //!   programs for a given fault set ([`RoundProgramSource`]).
 //! * [`SlicedStrategy`] — the adversary interface of the sliced plane:
 //!   instead of per-receiver message leases, a strategy names one
-//!   [`FaceRef`] per (faulty sender, receiver) pair per round, plus packed
-//!   constant bundles and per-lane gather donors.
+//!   [`FaceRef`] per (faulty sender, receiver) pair per round, plus the
+//!   lane-uniform states its packed faces stand for. Its one
+//!   implementation is `sc-attack`'s `SlicedScript`, the sliced
+//!   interpreter of a scripted attack.
 //! * [`SlicedBatch`] — the sweep engine, mirroring [`crate::Batch`]'s
 //!   verdict pipeline ([`OnlineDetector`] per lane).
-//! * [`sliced_crash`] / [`sliced_replay`] / [`sliced_two_faced_periodic`] —
-//!   sliced twins of the scalar strategies, bit-identical in effect.
 
-use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use rand::rngs::SmallRng;
@@ -41,7 +40,6 @@ use sc_protocol::{
     BitVec, Counter, ExecSpaces, FaceRef, NodeId, PlaneBuf, Program, RoundFaces, SlicedLayout,
 };
 
-use crate::adversaries::normalize_faults;
 use crate::batch::{BatchReport, Scenario, ScenarioOutcome};
 use crate::early::ExitReason;
 use crate::obs::SimObs;
@@ -54,7 +52,7 @@ use crate::SimError;
 /// Produced by [`SlicedProtocol::sliced_model`] and driven by
 /// [`SlicedBatch`]: the engine packs states through
 /// [`extend_bundle`](RoundProgramSource::extend_bundle), registers the
-/// strategy's packed bundles, and asks for one [`Program`] per distinct
+/// strategy's packed states, and asks for one [`Program`] per distinct
 /// (canonicalised) face pattern — implementations cache compiled programs,
 /// so a lasso-periodic attack costs at most one compile per distinct round
 /// pattern no matter how many sweeps reuse the model.
@@ -68,12 +66,12 @@ pub trait RoundProgramSource {
     /// matters when outputs are node-dependent (per-node LUT tables).
     fn extend_bundle(&self, node: u32, bundle: &mut BitVec);
 
-    /// Registers packed bundle `id`. `uniform` carries the full bundle bits
-    /// when the content is lane-uniform (compiled to constants, enabling
-    /// whole-subtree folding); `None` declares a per-lane bundle the engine
-    /// materialises itself. Registration is idempotent; re-registering an
-    /// id with different content is a caller bug and panics.
-    fn register_packed(&mut self, id: u16, uniform: Option<&BitVec>);
+    /// Registers packed bundle `id`: the full, lane-uniform bundle bits a
+    /// [`FaceRef::Packed`] face of that id stands for, compiled to
+    /// constants (enabling whole-subtree folding). Registration is
+    /// idempotent; re-registering an id with different content is a caller
+    /// bug and panics.
+    fn register_packed(&mut self, id: u16, bundle: &BitVec);
 
     /// Whether `id` is already registered. The engine skips the (costly)
     /// re-encode + idempotence check for known ids, so hot objectives that
@@ -98,64 +96,30 @@ pub trait SlicedProtocol: Counter {
     fn sliced_model(&self, faulty: &[NodeId]) -> Option<Box<dyn RoundProgramSource + Send>>;
 }
 
-/// Initial content of one packed bundle slot.
-#[derive(Clone, Debug)]
-pub enum PackedInit<S> {
-    /// The same state in every lane — compiled into constants.
-    Uniform {
-        /// Sender identity the state is encoded as.
-        node: NodeId,
-        /// The lane-uniform state.
-        state: S,
-    },
-    /// One state per lane (indexed by global scenario index).
-    PerLane {
-        /// Sender identity the states are encoded as.
-        node: NodeId,
-        /// Per-lane states, one per scenario.
-        states: Vec<S>,
-    },
-}
-
 /// A Byzantine strategy on the sliced plane.
 ///
 /// Where a scalar [`crate::Adversary`] returns per-receiver message leases
 /// round by round, a sliced strategy declares, per round, a *face table*:
-/// one [`FaceRef`] per (faulty sender, receiver) pair, all lane-uniform in
-/// identity. Per-lane variation enters only through packed bundles
-/// (constant per execution, e.g. crash freezes) and gather tables (per-lane
-/// donor selection, e.g. seeded equivocation schedules).
+/// one [`FaceRef`] per (faulty sender, receiver) pair, the same in every
+/// lane. A [`FaceRef::Packed`] face names one of the strategy's
+/// [`packed_bundles`](SlicedStrategy::packed_bundles), a lane-uniform
+/// state the lowering folds into constants.
 pub trait SlicedStrategy<S> {
     /// Sorted, deduplicated fault set.
     fn faulty(&self) -> &[NodeId];
 
     /// Deepest replay-ring lag any face ever names (before the engine's
     /// per-round clamping).
-    fn max_lag(&self) -> usize {
-        0
-    }
+    fn max_lag(&self) -> usize;
 
-    /// Packed constant bundles, indexed by [`sc_protocol::Space::Packed`]
-    /// id.
-    fn packed_bundles(&self) -> Vec<PackedInit<S>> {
-        Vec::new()
-    }
-
-    /// Number of gather tables the faces reference.
-    fn gather_tables(&self) -> usize {
-        0
-    }
+    /// The states packed faces stand for, indexed by [`FaceRef::Packed`]
+    /// id: each is encoded as a broadcast of the paired sender.
+    fn packed_bundles(&self) -> Vec<(NodeId, &S)>;
 
     /// Writes the face table for `round` into `faces` (pre-sized to
     /// `faulty × n` rows). Rows for faulty receivers are ignored (the
     /// engine canonicalises them away).
     fn faces(&self, round: u64, n: usize, faces: &mut RoundFaces);
-
-    /// Writes the per-lane donor (global node index) of each gather table
-    /// for `round`: `out[table][lane - lanes.start]`.
-    fn gather_donors(&self, round: u64, lanes: Range<usize>, out: &mut [Vec<u32>]) {
-        let _ = (round, lanes, out);
-    }
 }
 
 /// Bit-sliced batched sweep runner: the transposed twin of
@@ -273,22 +237,16 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
             .collect();
         assert!(!honest.is_empty(), "sliced sweeps need a correct node");
 
-        let packed_inits = strategy.packed_bundles();
         {
             let mut m = model.lock().expect("model poisoned");
-            for (id, init) in packed_inits.iter().enumerate() {
+            for (id, (node, state)) in strategy.packed_bundles().into_iter().enumerate() {
                 if m.packed_registered(id as u16) {
                     continue;
                 }
-                match init {
-                    PackedInit::Uniform { node, state } => {
-                        let mut bits = BitVec::new();
-                        self.protocol.encode_state(*node, state, &mut bits);
-                        m.extend_bundle(node.index() as u32, &mut bits);
-                        m.register_packed(id as u16, Some(&bits));
-                    }
-                    PackedInit::PerLane { .. } => m.register_packed(id as u16, None),
-                }
+                let mut bits = BitVec::new();
+                self.protocol.encode_state(node, state, &mut bits);
+                m.extend_bundle(node.index() as u32, &mut bits);
+                m.register_packed(id as u16, &bits);
             }
         }
 
@@ -296,15 +254,7 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
         let group_count = scenarios.len().div_ceil(group_lanes);
         let run_group = |gi: usize| -> Vec<ScenarioOutcome> {
             let outcomes = self.run_group(
-                gi,
-                scenarios,
-                strategy,
-                model,
-                &layout,
-                &faulty,
-                &honest,
-                &packed_inits,
-                confirm,
+                gi, scenarios, strategy, model, &layout, &faulty, &honest, confirm,
             );
             // Metered per lane group as workers finish, so a long sweep's
             // scenarios/s reads live rather than at the join.
@@ -346,7 +296,6 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
         layout: &SlicedLayout,
         faulty: &[NodeId],
         honest: &[u32],
-        packed_inits: &[PackedInit<P::State>],
         confirm: u64,
     ) -> Vec<ScenarioOutcome>
     where
@@ -354,16 +303,7 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
     {
         GROUP_SCRATCH.with(GroupScratch::new, |scr| {
             self.run_group_with(
-                scr,
-                gi,
-                scenarios,
-                strategy,
-                model,
-                layout,
-                faulty,
-                honest,
-                packed_inits,
-                confirm,
+                scr, gi, scenarios, strategy, model, layout, faulty, honest, confirm,
             )
         })
     }
@@ -381,7 +321,6 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
         layout: &SlicedLayout,
         faulty: &[NodeId],
         honest: &[u32],
-        packed_inits: &[PackedInit<P::State>],
         confirm: u64,
     ) -> Vec<ScenarioOutcome>
     where
@@ -391,15 +330,10 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
         let start = gi * group_lanes;
         let end = (start + group_lanes).min(scenarios.len());
         let active = end - start;
-        let lw = self.lane_words;
         let n = layout.n as usize;
-        let np = layout.node_planes() as usize;
-        let tables = strategy.gather_tables();
         scr.reshape(
             layout.total_planes() as usize,
-            np,
-            lw,
-            tables,
+            self.lane_words,
             faulty.len(),
             n,
         );
@@ -427,30 +361,6 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
                         .pack_lane(l, layout.node_base(i as u32) as usize, &bits);
                 }
             }
-            for init in packed_inits {
-                match init {
-                    PackedInit::Uniform { .. } => {
-                        // Folded into constants at compile time; the slot is
-                        // never loaded.
-                        scr.packed.push(PlaneBuf::new(0, lw));
-                    }
-                    PackedInit::PerLane { node, states } => {
-                        assert!(
-                            states.len() >= end,
-                            "per-lane packed bundle shorter than the scenario list"
-                        );
-                        let mut buf = scr.packed_arena(np, lw);
-                        for l in 0..active {
-                            bits.clear();
-                            self.protocol
-                                .encode_state(*node, &states[start + l], &mut bits);
-                            m.extend_bundle(node.index() as u32, &mut bits);
-                            buf.pack_lane(l, 0, &bits);
-                        }
-                        scr.packed.push(buf);
-                    }
-                }
-            }
         }
 
         scr.detectors
@@ -465,11 +375,6 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
         );
 
         let max_lag = strategy.max_lag();
-        for donor in &mut scr.donors {
-            donor.clear();
-            donor.resize(active, 0);
-        }
-
         for round in 0..self.horizon {
             strategy.faces(round, n, &mut scr.faces);
             canonicalize_faces(&mut scr.faces, round, max_lag, faulty, n);
@@ -477,25 +382,11 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
                 .lock()
                 .expect("model poisoned")
                 .round_program(&scr.faces);
-            if tables > 0 {
-                strategy.gather_donors(round, start..end, &mut scr.donors);
-                for (table, gather) in scr.gathers.iter_mut().enumerate() {
-                    materialize_gather(
-                        gather,
-                        &scr.cur,
-                        layout,
-                        &scr.donors[table],
-                        &mut scr.donor_masks,
-                    );
-                }
-            }
             // Planes no Store covers (faulty bundles) carry over unchanged.
             scr.next.copy_from(&scr.cur);
             let spaces = ExecSpaces {
                 cur: &scr.cur,
                 ring: &scr.ring,
-                packed: &scr.packed,
-                gather: &scr.gathers,
             };
             program.exec(&spaces, &mut scr.next, &mut scr.exec);
             observe_group(
@@ -538,11 +429,10 @@ impl<'a, P: SlicedProtocol> SlicedBatch<'a, P> {
 }
 
 /// Reusable per-worker buffers for [`SlicedBatch::run_group`] — the plane
-/// arenas, replay ring, gather scratch and face table every group would
-/// otherwise allocate from cold. Parked per OS thread in
-/// [`GROUP_SCRATCH`], so hot callers (attack objectives sweep thousands
-/// of scripts through one `SlicedBatch` shape) reuse warm allocations
-/// across calls.
+/// arenas, replay ring and face table every group would otherwise allocate
+/// from cold. Parked per OS thread in [`GROUP_SCRATCH`], so hot callers
+/// (attack objectives sweep thousands of scripts through one `SlicedBatch`
+/// shape) reuse warm allocations across calls.
 struct GroupScratch {
     /// Current / next state arenas (`total_planes × lane_words`).
     cur: PlaneBuf,
@@ -552,12 +442,6 @@ struct GroupScratch {
     /// read a stale buffer); `spare` parks its buffers between groups.
     ring: Vec<PlaneBuf>,
     spare: Vec<PlaneBuf>,
-    /// Packed-bundle arenas of the current group and their pool.
-    packed: Vec<PlaneBuf>,
-    packed_pool: Vec<PlaneBuf>,
-    gathers: Vec<PlaneBuf>,
-    donors: Vec<Vec<u32>>,
-    donor_masks: Vec<u64>,
     detectors: Vec<OnlineDetector>,
     agree: Vec<u64>,
     faces: RoundFaces,
@@ -572,11 +456,6 @@ impl GroupScratch {
             next: PlaneBuf::new(0, 1),
             ring: Vec::new(),
             spare: Vec::new(),
-            packed: Vec::new(),
-            packed_pool: Vec::new(),
-            gathers: Vec::new(),
-            donors: Vec::new(),
-            donor_masks: Vec::new(),
             detectors: Vec::new(),
             agree: Vec::new(),
             faces: RoundFaces::default(),
@@ -587,15 +466,7 @@ impl GroupScratch {
     /// Re-shapes the buffers for one group: zeroes what survives a
     /// matching shape, drops and rebuilds what does not. After this the
     /// scratch is indistinguishable from freshly allocated buffers.
-    fn reshape(
-        &mut self,
-        total_planes: usize,
-        np: usize,
-        lw: usize,
-        tables: usize,
-        faulty: usize,
-        n: usize,
-    ) {
+    fn reshape(&mut self, total_planes: usize, lw: usize, faulty: usize, n: usize) {
         // Ring buffers share the state arenas' shape; park them first so
         // a matching reshape reuses them.
         self.spare.append(&mut self.ring);
@@ -608,35 +479,8 @@ impl GroupScratch {
             // ring entries on insertion; only `cur` is packed additively.
             self.cur.clear();
         }
-        self.packed_pool.append(&mut self.packed);
-        self.packed_pool
-            .retain(|buf| buf.planes() == np && buf.lane_words() == lw);
-        if self.gathers.len() != tables
-            || self
-                .gathers
-                .iter()
-                .any(|g| g.planes() != np || g.lane_words() != lw)
-        {
-            self.gathers = (0..tables).map(|_| PlaneBuf::new(np, lw)).collect();
-        }
-        self.donors.truncate(tables);
-        self.donors.resize_with(tables, Vec::new);
-        self.donor_masks.clear();
-        self.donor_masks.resize(n * lw, 0);
         self.detectors.clear();
         self.faces = RoundFaces::new(faulty, n);
-    }
-
-    /// A zeroed `np × lw` packed arena, reusing a parked buffer when one
-    /// fits (the pool was filtered to matching shapes by `reshape`).
-    fn packed_arena(&mut self, np: usize, lw: usize) -> PlaneBuf {
-        match self.packed_pool.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                buf
-            }
-            None => PlaneBuf::new(np, lw),
-        }
     }
 }
 
@@ -709,233 +553,6 @@ fn observe_group(
     }
 }
 
-/// Builds one gather table: per lane, a full copy of the donor node's
-/// current bundle, assembled with one OR-mask pass per distinct donor.
-fn materialize_gather(
-    gather: &mut PlaneBuf,
-    cur: &PlaneBuf,
-    layout: &SlicedLayout,
-    donors: &[u32],
-    masks: &mut [u64],
-) {
-    let lw = cur.lane_words();
-    masks.iter_mut().for_each(|w| *w = 0);
-    for (lane, &d) in donors.iter().enumerate() {
-        masks[d as usize * lw + lane / 64] |= 1u64 << (lane % 64);
-    }
-    gather.clear();
-    let np = layout.node_planes() as usize;
-    for d in 0..layout.n as usize {
-        let mask = &masks[d * lw..(d + 1) * lw];
-        if mask.iter().all(|&w| w == 0) {
-            continue;
-        }
-        let base = layout.node_base(d as u32) as usize;
-        for i in 0..np {
-            for (k, &m) in mask.iter().enumerate() {
-                if m != 0 {
-                    *gather.word_mut(i, k) |= m & cur.word(base + i, k);
-                }
-            }
-        }
-    }
-}
-
-// ---- built-in strategies -------------------------------------------------
-
-/// Sliced twin of [`crate::adversaries::crash`]: per lane, each faulty node
-/// freezes the state the scalar strategy would have sampled from that
-/// lane's seed, served as one per-lane packed bundle per faulty node.
-pub fn sliced_crash<P: sc_protocol::SyncProtocol>(
-    protocol: &P,
-    faulty: impl IntoIterator<Item = usize>,
-    seeds: &[u64],
-) -> SlicedCrash<P::State> {
-    let ids = normalize_faults(faulty);
-    let mut frozen: Vec<Vec<P::State>> = vec![Vec::with_capacity(seeds.len()); ids.len()];
-    for &seed in seeds {
-        // Mirror `adversaries::crash`: one SmallRng per scenario seed,
-        // faulty nodes sampled in id order.
-        let mut rng = SmallRng::seed_from_u64(seed);
-        for (g, &id) in ids.iter().enumerate() {
-            frozen[g].push(protocol.random_state(id, &mut rng));
-        }
-    }
-    SlicedCrash {
-        faulty: ids,
-        frozen,
-    }
-}
-
-/// Strategy produced by [`sliced_crash`].
-#[derive(Clone, Debug)]
-pub struct SlicedCrash<S> {
-    faulty: Vec<NodeId>,
-    /// `frozen[g][lane]`: the `g`-th faulty node's frozen state per lane.
-    frozen: Vec<Vec<S>>,
-}
-
-impl<S: Clone> SlicedStrategy<S> for SlicedCrash<S> {
-    fn faulty(&self) -> &[NodeId] {
-        &self.faulty
-    }
-
-    fn packed_bundles(&self) -> Vec<PackedInit<S>> {
-        self.faulty
-            .iter()
-            .zip(&self.frozen)
-            .map(|(&node, states)| PackedInit::PerLane {
-                node,
-                states: states.clone(),
-            })
-            .collect()
-    }
-
-    fn faces(&self, _round: u64, n: usize, faces: &mut RoundFaces) {
-        for g in 0..self.faulty.len() {
-            for v in 0..n {
-                faces.set_face(g, n, v, FaceRef::Packed(g as u16));
-            }
-        }
-    }
-}
-
-/// Sliced twin of [`crate::adversaries::replay`]: faulty nodes echo honest
-/// states from `delay` rounds ago (donor `honest[receiver mod |honest|]`,
-/// effective lag `min(delay − 1, round)` while the window warms up).
-///
-/// # Panics
-///
-/// Panics if every node is faulty or `delay` exceeds 256 (the ring depth
-/// the face encoding carries).
-pub fn sliced_replay(
-    n: usize,
-    faulty: impl IntoIterator<Item = usize>,
-    delay: usize,
-) -> SlicedReplay {
-    let ids = normalize_faults(faulty);
-    let delay = delay.max(1);
-    assert!(delay <= 256, "sliced replay supports delays up to 256");
-    let honest: Vec<u32> = (0..n as u32)
-        .filter(|&i| ids.binary_search(&NodeId::new(i as usize)).is_err())
-        .collect();
-    assert!(!honest.is_empty(), "replay needs a correct donor");
-    SlicedReplay {
-        faulty: ids,
-        honest,
-        delay,
-    }
-}
-
-/// Strategy produced by [`sliced_replay`].
-#[derive(Clone, Debug)]
-pub struct SlicedReplay {
-    faulty: Vec<NodeId>,
-    honest: Vec<u32>,
-    delay: usize,
-}
-
-impl<S> SlicedStrategy<S> for SlicedReplay {
-    fn faulty(&self) -> &[NodeId] {
-        &self.faulty
-    }
-
-    fn max_lag(&self) -> usize {
-        self.delay - 1
-    }
-
-    fn faces(&self, _round: u64, n: usize, faces: &mut RoundFaces) {
-        let lag = (self.delay - 1) as u8;
-        for g in 0..self.faulty.len() {
-            for v in 0..n {
-                let donor = self.honest[v % self.honest.len()];
-                let face = if lag == 0 {
-                    FaceRef::Honest(donor)
-                } else {
-                    FaceRef::Ring { lag, donor }
-                };
-                faces.set_face(g, n, v, face);
-            }
-        }
-    }
-}
-
-/// Sliced twin of [`crate::two_faced_periodic`]: per lane, the donor-pair
-/// schedule the scalar strategy derives from that lane's seed, served
-/// through two gather tables (even-parity and odd-parity receivers).
-///
-/// # Panics
-///
-/// Panics if every node is faulty (equivocation needs a donor).
-pub fn sliced_two_faced_periodic(
-    n: usize,
-    faulty: impl IntoIterator<Item = usize>,
-    seeds: &[u64],
-    period: usize,
-) -> SlicedTwoFacedPeriodic {
-    use rand::RngCore;
-    let ids = normalize_faults(faulty);
-    let honest: Vec<u32> = (0..n as u32)
-        .filter(|&i| ids.binary_search(&NodeId::new(i as usize)).is_err())
-        .collect();
-    assert!(!honest.is_empty(), "equivocation needs a correct donor");
-    let period = period.max(1);
-    let schedules = seeds
-        .iter()
-        .map(|&seed| {
-            // Mirror `two_faced_periodic`: one SmallRng per scenario seed,
-            // `period` salt pairs.
-            let mut rng = SmallRng::seed_from_u64(seed);
-            (0..period)
-                .map(|_| (rng.next_u32(), rng.next_u32()))
-                .collect()
-        })
-        .collect();
-    SlicedTwoFacedPeriodic {
-        faulty: ids,
-        honest,
-        schedules,
-    }
-}
-
-/// Strategy produced by [`sliced_two_faced_periodic`].
-#[derive(Clone, Debug)]
-pub struct SlicedTwoFacedPeriodic {
-    faulty: Vec<NodeId>,
-    honest: Vec<u32>,
-    /// Per-lane donor salt schedules, indexed by `round mod period`.
-    schedules: Vec<Vec<(u32, u32)>>,
-}
-
-impl<S> SlicedStrategy<S> for SlicedTwoFacedPeriodic {
-    fn faulty(&self) -> &[NodeId] {
-        &self.faulty
-    }
-
-    fn gather_tables(&self) -> usize {
-        2
-    }
-
-    fn faces(&self, _round: u64, n: usize, faces: &mut RoundFaces) {
-        for g in 0..self.faulty.len() {
-            for v in 0..n {
-                let table = if v % 2 == 0 { 0 } else { 1 };
-                faces.set_face(g, n, v, FaceRef::Gather(table));
-            }
-        }
-    }
-
-    fn gather_donors(&self, round: u64, lanes: Range<usize>, out: &mut [Vec<u32>]) {
-        let count = self.honest.len();
-        for (l, lane) in lanes.enumerate() {
-            let schedule = &self.schedules[lane];
-            let (even, odd) = schedule[round as usize % schedule.len()];
-            out[0][l] = self.honest[even as usize % count];
-            out[1][l] = self.honest[odd as usize % count];
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -946,18 +563,17 @@ mod tests {
     use crate::adversaries;
     use crate::batch::Batch;
     use crate::testing::FollowMax;
-    use crate::two_faced_periodic;
 
     /// Hand-lowered round-program source for [`FollowMax`]: per honest
     /// receiver, `max` over the n faces then `+1 mod c`. Exercises every
-    /// face source (cur/ring/packed-uniform/packed-dynamic/gather) without
+    /// face source (current plane, replay ring, packed constant) without
     /// depending on the `sc-core` compiler.
     struct MaxModel {
         n: usize,
         c: u64,
         sb: u16,
         faulty: Vec<NodeId>,
-        uniform: HashMap<u16, u64>,
+        packed: HashMap<u16, u64>,
         cache: HashMap<RoundFaces, Arc<Program>>,
     }
 
@@ -983,12 +599,10 @@ mod tests {
             bundle.push_bits(v, self.sb as u32);
         }
 
-        fn register_packed(&mut self, id: u16, uniform: Option<&BitVec>) {
-            if let Some(bits) = uniform {
-                let v = bits.reader().read_bits(self.sb as u32).unwrap();
-                let prev = self.uniform.insert(id, v);
-                assert!(prev.is_none_or(|p| p == v), "packed slot re-registered");
-            }
+        fn register_packed(&mut self, id: u16, bundle: &BitVec) {
+            let v = bundle.reader().read_bits(self.sb as u32).unwrap();
+            let prev = self.packed.insert(id, v);
+            assert!(prev.is_none_or(|p| p == v), "packed slot re-registered");
         }
 
         fn round_program(&mut self, faces: &RoundFaces) -> Arc<Program> {
@@ -1032,19 +646,9 @@ mod tests {
                                 off: layout.node_base(donor),
                                 w: sb,
                             },
-                            FaceRef::Packed(id) => match self.uniform.get(&id) {
-                                Some(&value) => Op::Const { dst, value, w: sb },
-                                None => Op::Load {
-                                    dst,
-                                    space: Space::Packed(id),
-                                    off: 0,
-                                    w: sb,
-                                },
-                            },
-                            FaceRef::Gather(t) => Op::Load {
+                            FaceRef::Packed(id) => Op::Const {
                                 dst,
-                                space: Space::Gather(t),
-                                off: 0,
+                                value: self.packed[&id],
                                 w: sb,
                             },
                         },
@@ -1142,9 +746,80 @@ mod tests {
                 c: self.c,
                 sb: sc_protocol::bits_for(self.c) as u16,
                 faulty: faulty.to_vec(),
-                uniform: HashMap::new(),
+                packed: HashMap::new(),
                 cache: HashMap::new(),
             }))
+        }
+    }
+
+    /// A lane-uniform fixture strategy: every round, the `g`-th faulty node
+    /// shows receiver `v` the face `rows[g * n + v]`, and packed id `i`
+    /// stands for `packed[i]`.
+    struct Fixture {
+        faulty: Vec<NodeId>,
+        rows: Vec<FaceRef>,
+        max_lag: usize,
+        packed: Vec<(NodeId, u64)>,
+    }
+
+    impl Fixture {
+        /// The faces of [`adversaries::replay`]: receiver `v` sees the
+        /// `v mod |honest|`-th honest node as of `delay − 1` rounds ago.
+        fn replay(n: usize, faulty: &[usize], delay: usize) -> Fixture {
+            let faulty = adversaries::normalize_faults(faulty.iter().copied());
+            let honest: Vec<u32> = (0..n as u32)
+                .filter(|&v| faulty.binary_search(&NodeId::new(v as usize)).is_err())
+                .collect();
+            let lag = (delay - 1) as u8;
+            let row: Vec<FaceRef> = (0..n)
+                .map(|v| {
+                    let donor = honest[v % honest.len()];
+                    if lag == 0 {
+                        FaceRef::Honest(donor)
+                    } else {
+                        FaceRef::Ring { lag, donor }
+                    }
+                })
+                .collect();
+            Fixture {
+                rows: row.repeat(faulty.len()),
+                faulty,
+                max_lag: delay - 1,
+                packed: Vec::new(),
+            }
+        }
+
+        /// The faces of [`adversaries::fixed`]: every faulty node shows
+        /// every receiver `state`, one packed bundle per sender.
+        fn fixed(n: usize, faulty: &[usize], state: u64) -> Fixture {
+            let faulty = adversaries::normalize_faults(faulty.iter().copied());
+            let rows = (0..faulty.len())
+                .flat_map(|g| vec![FaceRef::Packed(g as u16); n])
+                .collect();
+            Fixture {
+                rows,
+                max_lag: 0,
+                packed: faulty.iter().map(|&id| (id, state)).collect(),
+                faulty,
+            }
+        }
+    }
+
+    impl SlicedStrategy<u64> for Fixture {
+        fn faulty(&self) -> &[NodeId] {
+            &self.faulty
+        }
+
+        fn max_lag(&self) -> usize {
+            self.max_lag
+        }
+
+        fn packed_bundles(&self) -> Vec<(NodeId, &u64)> {
+            self.packed.iter().map(|(id, state)| (*id, state)).collect()
+        }
+
+        fn faces(&self, _round: u64, _n: usize, faces: &mut RoundFaces) {
+            faces.rows.copy_from_slice(&self.rows);
         }
     }
 
@@ -1159,52 +834,17 @@ mod tests {
     }
 
     #[test]
-    fn sliced_crash_matches_scalar_batch() {
+    fn uniform_packed_faces_match_scalar_fixed() {
         let p = FollowMax { n: 5, c: 8 };
         let scenarios = Scenario::seeds(0..150);
-        let seeds: Vec<u64> = scenarios.iter().map(|s| s.seed).collect();
-        let scalar = Batch::new(&p, 64).run(&scenarios, |s: &Scenario<u64>| {
-            adversaries::crash(&p, [1, 3], s.seed)
-        });
-        let strategy = sliced_crash(&p, [1, 3], &seeds);
-        let sliced = SlicedBatch::new(&p, 64)
-            .lane_words(1)
-            .run(&scenarios, &strategy)
-            .expect("FollowMax lowers");
-        assert_eq!(verdicts(&scalar), verdicts(&sliced));
-    }
-
-    #[test]
-    fn sliced_replay_matches_scalar_batch() {
-        let p = FollowMax { n: 5, c: 8 };
-        let scenarios = Scenario::seeds(0..100);
-        for delay in [1usize, 2, 4] {
+        for state in [0u64, 5] {
             let scalar =
-                Batch::new(&p, 64).run(&scenarios, |_| adversaries::replay::<u64>([2], delay));
-            let strategy = sliced_replay(p.n, [2], delay);
+                Batch::new(&p, 64).run(&scenarios, |_| adversaries::fixed([1usize, 3], state));
             let sliced = SlicedBatch::new(&p, 64)
                 .lane_words(1)
-                .run(&scenarios, &strategy)
+                .run(&scenarios, &Fixture::fixed(p.n, &[1, 3], state))
                 .unwrap();
-            assert_eq!(verdicts(&scalar), verdicts(&sliced), "delay {delay}");
-        }
-    }
-
-    #[test]
-    fn sliced_two_faced_periodic_matches_scalar_batch() {
-        let p = FollowMax { n: 6, c: 8 };
-        let scenarios = Scenario::seeds(0..130);
-        let seeds: Vec<u64> = scenarios.iter().map(|s| s.seed).collect();
-        for period in [1usize, 3] {
-            let scalar = Batch::new(&p, 64).run(&scenarios, |s: &Scenario<u64>| {
-                two_faced_periodic([0, 4], s.seed, period)
-            });
-            let strategy = sliced_two_faced_periodic(p.n, [0, 4], &seeds, period);
-            let sliced = SlicedBatch::new(&p, 64)
-                .lane_words(1)
-                .run(&scenarios, &strategy)
-                .unwrap();
-            assert_eq!(verdicts(&scalar), verdicts(&sliced), "period {period}");
+            assert_eq!(verdicts(&scalar), verdicts(&sliced), "state {state}");
         }
     }
 
@@ -1214,14 +854,10 @@ mod tests {
         let scenarios: Vec<Scenario<u64>> = (0..70)
             .map(|seed| Scenario::with_states(seed, vec![seed % 8, (seed + 1) % 8, 3, 5]))
             .collect();
-        let scalar = Batch::new(&p, 64).run(&scenarios, |s: &Scenario<u64>| {
-            adversaries::crash(&p, [0], s.seed)
-        });
-        let seeds: Vec<u64> = scenarios.iter().map(|s| s.seed).collect();
-        let strategy = sliced_crash(&p, [0], &seeds);
+        let scalar = Batch::new(&p, 64).run(&scenarios, |_| adversaries::replay::<u64>([0], 3));
         let sliced = SlicedBatch::new(&p, 64)
             .lane_words(1)
-            .run(&scenarios, &strategy)
+            .run(&scenarios, &Fixture::replay(p.n, &[0], 3))
             .unwrap();
         assert_eq!(verdicts(&scalar), verdicts(&sliced));
     }
@@ -1230,8 +866,7 @@ mod tests {
     fn verdicts_invariant_under_threads_and_lane_words() {
         let p = FollowMax { n: 5, c: 8 };
         let scenarios = Scenario::seeds(0..200);
-        let seeds: Vec<u64> = scenarios.iter().map(|s| s.seed).collect();
-        let strategy = sliced_crash(&p, [4], &seeds);
+        let strategy = Fixture::replay(p.n, &[4], 3);
         let base = SlicedBatch::new(&p, 64)
             .threads(1)
             .lane_words(1)
@@ -1255,7 +890,7 @@ mod tests {
     fn short_horizon_fails_every_lane_up_front() {
         let p = FollowMax { n: 3, c: 4 };
         let scenarios = Scenario::seeds(0..5);
-        let strategy = sliced_replay(p.n, [1], 2);
+        let strategy = Fixture::replay(p.n, &[1], 2);
         let report = SlicedBatch::new(&p, 4).run(&scenarios, &strategy).unwrap();
         for outcome in &report.outcomes {
             assert!(matches!(
